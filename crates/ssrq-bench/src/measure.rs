@@ -327,7 +327,7 @@ pub fn max_result_hops(
     let mut max_hops = 0usize;
     for entry in &result.ranked {
         search.run_until_settled(graph, entry.user);
-        let hops = search.path_to(entry.user)?.len().saturating_sub(1);
+        let hops = search.path_to(graph, entry.user)?.len().saturating_sub(1);
         max_hops = max_hops.max(hops);
     }
     Some(max_hops)

@@ -285,20 +285,17 @@ impl QueryDriver for AisDriver<'_> {
                 }
             },
             Item::User(user, spatial) => {
-                // Delayed evaluation (§5.3): if the shared forward search has
-                // progressed beyond this user's landmark bound, re-insert it
-                // with the tighter β-based key instead of evaluating it now.
-                if self.variant.delayed_evaluation {
+                // Delayed evaluation (§5.3): a user the shared forward search
+                // has not reached is at least β from the query user.  When
+                // that tighter bound already scores at or above f_k — the
+                // rule the termination test applies — the user is discarded
+                // without a distance computation.
+                if self.variant.delayed_evaluation
+                    && self.distance_engine.known_distance(user).is_none()
+                {
                     let beta_bound = self.ctx.normalize_social(self.distance_engine.beta());
-                    let delayed_key = self.ctx.score_lower_bound(beta_bound, spatial);
-                    if key < delayed_key - 1e-12
-                        && self.distance_engine.known_distance(user).is_none()
-                    {
-                        self.stats.delayed_reinsertions += 1;
-                        self.heap.push(Entry {
-                            key: delayed_key,
-                            item: Item::User(user, spatial),
-                        });
+                    if self.ctx.score_lower_bound(beta_bound, spatial) >= self.topk.fk() {
+                        self.stats.delayed_prunes += 1;
                         return StepOutcome::Progress;
                     }
                 }

@@ -27,9 +27,10 @@ pub struct QueryStats {
     /// Distance computations answered from a cache (distance caching /
     /// pre-computed lists).
     pub cache_hits: usize,
-    /// Users re-inserted into the AIS heap by the delayed-evaluation
-    /// strategy.
-    pub delayed_reinsertions: usize,
+    /// Users the AIS delayed-evaluation strategy (§5.3) discarded without a
+    /// distance computation: the forward search had not reached them and
+    /// their β-bound score was already at least `f_k`.
+    pub delayed_prunes: usize,
     /// Edge relaxations attempted by the query's social-graph searches (the
     /// query-rooted Dijkstra expansions and the bidirectional searches of
     /// the AIS distance submodule; Contraction Hierarchies queries are not
@@ -116,7 +117,7 @@ impl QueryStats {
         self.evaluated_users += other.evaluated_users;
         self.distance_calls += other.distance_calls;
         self.cache_hits += other.cache_hits;
-        self.delayed_reinsertions += other.delayed_reinsertions;
+        self.delayed_prunes += other.delayed_prunes;
         self.relaxed_edges += other.relaxed_edges;
         self.streamable_results += other.streamable_results;
         self.bytes_sent += other.bytes_sent;
@@ -151,7 +152,7 @@ mod tests {
             evaluated_users: 4,
             distance_calls: 5,
             cache_hits: 6,
-            delayed_reinsertions: 7,
+            delayed_prunes: 7,
             relaxed_edges: 11,
             streamable_results: 2,
             bytes_sent: 100,
@@ -169,7 +170,7 @@ mod tests {
         assert_eq!(a.evaluated_users, 8);
         assert_eq!(a.distance_calls, 10);
         assert_eq!(a.cache_hits, 12);
-        assert_eq!(a.delayed_reinsertions, 14);
+        assert_eq!(a.delayed_prunes, 14);
         assert_eq!(a.relaxed_edges, 22);
         assert_eq!(a.streamable_results, 4);
         assert_eq!(a.bytes_sent, 200);
@@ -229,7 +230,7 @@ mod tests {
             evaluated_users: 2,
             distance_calls: 7,
             cache_hits: 1,
-            delayed_reinsertions: 4,
+            delayed_prunes: 4,
             index_pops: 5,
             spatial_pops: 6,
             relaxed_edges: 8,

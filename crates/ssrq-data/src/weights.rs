@@ -9,8 +9,10 @@ use ssrq_graph::{GraphBuilder, SocialGraph};
 
 /// Smallest weight ever assigned; guards against zero-weight edges (the
 /// graph substrate requires strictly positive weights and a zero weight
-/// would let shortest paths traverse edges "for free").
-pub const MIN_WEIGHT: f64 = 1e-9;
+/// would let shortest paths traverse edges "for free").  A power of two,
+/// `2^-30`, so that it lies on the weight grid `GraphBuilder::build` snaps
+/// to for any graph whose weights sum to at most `2^21`.
+pub const MIN_WEIGHT: f64 = 1.0 / (1u64 << 30) as f64;
 
 /// Reweights every edge of `graph` with the paper's degree product formula
 /// `deg(v_i) · deg(v_j) / max_deg²`, returning a new graph with identical

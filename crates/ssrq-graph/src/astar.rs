@@ -7,6 +7,7 @@
 //! the shared forward Dijkstra expansion.
 
 use crate::dijkstra::HeapItem;
+use crate::scratch::FORWARD;
 use crate::{Distance, LandmarkSet, NodeId, SearchScratch, SocialGraph};
 
 /// A lower-bound estimator of the distance from a vertex to a fixed goal.
@@ -95,8 +96,8 @@ impl<'s, H: Heuristic> AStar<'s, H> {
             "source vertex {source} out of range"
         );
         scratch.begin(graph.node_count());
-        scratch.set_tentative(source, 0.0, source);
-        scratch.heap.push(HeapItem {
+        scratch.relax(FORWARD, source, 0.0);
+        scratch.heaps[FORWARD].push(HeapItem {
             key: heuristic.estimate(source),
             node: source,
         });
@@ -117,19 +118,18 @@ impl<'s, H: Heuristic> AStar<'s, H> {
     /// Settles and returns the next vertex (with its exact distance from the
     /// source), or `None` when no reachable vertex remains.
     pub fn next_settled(&mut self, graph: &SocialGraph) -> Option<(NodeId, Distance)> {
-        while let Some(HeapItem { node, .. }) = self.scratch.heap.pop() {
+        while let Some(HeapItem { node, .. }) = self.scratch.heaps[FORWARD].pop() {
             self.pops += 1;
-            if self.scratch.is_settled(node) {
+            if self.scratch.is_settled(FORWARD, node) {
                 continue;
             }
-            self.scratch.mark_settled(node);
+            self.scratch.mark_settled(FORWARD, node);
             self.settled_count += 1;
-            let g_node = self.scratch.tentative(node);
+            let g_node = self.scratch.tentative(FORWARD, node);
             for edge in graph.neighbors(node) {
                 let cand = g_node + edge.weight;
-                if cand < self.scratch.tentative(edge.to) {
-                    self.scratch.set_tentative(edge.to, cand, node);
-                    self.scratch.heap.push(HeapItem {
+                if self.scratch.relax(FORWARD, edge.to, cand) {
+                    self.scratch.heaps[FORWARD].push(HeapItem {
                         key: cand + self.heuristic.estimate(edge.to),
                         node: edge.to,
                     });
@@ -143,8 +143,8 @@ impl<'s, H: Heuristic> AStar<'s, H> {
     /// Runs until `target` is settled; returns its exact distance
     /// (`INFINITY` when unreachable).
     pub fn run_until_settled(&mut self, graph: &SocialGraph, target: NodeId) -> Distance {
-        if self.scratch.is_settled(target) {
-            return self.scratch.tentative(target);
+        if self.scratch.is_settled(FORWARD, target) {
+            return self.scratch.tentative(FORWARD, target);
         }
         while let Some((node, d)) = self.next_settled(graph) {
             if node == target {
@@ -157,8 +157,8 @@ impl<'s, H: Heuristic> AStar<'s, H> {
     /// Exact distance of `v` from the source, if `v` has been settled.
     #[inline]
     pub fn settled_distance(&self, v: NodeId) -> Option<Distance> {
-        if self.scratch.is_settled(v) {
-            Some(self.scratch.tentative(v))
+        if self.scratch.is_settled(FORWARD, v) {
+            Some(self.scratch.tentative(FORWARD, v))
         } else {
             None
         }
@@ -167,15 +167,14 @@ impl<'s, H: Heuristic> AStar<'s, H> {
     /// Returns `true` when `v` has been settled.
     #[inline]
     pub fn is_settled(&self, v: NodeId) -> bool {
-        self.scratch.is_settled(v)
+        self.scratch.is_settled(FORWARD, v)
     }
 
     /// The smallest key (`g + h`) in the open heap — a lower bound on the
     /// `f`-value of every vertex that is yet to be settled.  `None` when the
     /// search is exhausted.
     pub fn min_key(&self) -> Option<Distance> {
-        self.scratch
-            .heap
+        self.scratch.heaps[FORWARD]
             .iter()
             .map(|e| e.key)
             .fold(None, |acc, k| {
@@ -191,7 +190,7 @@ impl<'s, H: Heuristic> AStar<'s, H> {
     /// scanning; may correspond to an already-settled (stale) vertex but is
     /// still a valid lower bound.
     pub fn peek_key(&self) -> Option<Distance> {
-        self.scratch.heap.peek().map(|e| e.key)
+        self.scratch.heaps[FORWARD].peek().map(|e| e.key)
     }
 
     /// Number of settled vertices.
@@ -206,7 +205,7 @@ impl<'s, H: Heuristic> AStar<'s, H> {
 
     /// Returns `true` when the open heap is empty.
     pub fn exhausted(&self) -> bool {
-        self.scratch.heap.is_empty()
+        self.scratch.heaps[FORWARD].is_empty()
     }
 }
 

@@ -93,6 +93,13 @@ impl GraphBuilder {
     /// Finalizes the builder into a CSR [`SocialGraph`].
     ///
     /// Duplicate undirected edges are merged keeping the minimum weight.
+    /// Every weight is then rounded to the nearest multiple of the graph's
+    /// quantum `2^-q`, `q = 51 − ⌈log2 Σw⌉` over the merged weights, and
+    /// never below one quantum.  Any sum of a few path lengths is then an
+    /// integer multiple of the quantum below `2^53` quanta, so every
+    /// shortest-path distance is computed without rounding, whichever order
+    /// a search adds its edges in: Dijkstra, a bidirectional meeting-point
+    /// sum and a Contraction Hierarchies shortcut all return the same bits.
     pub fn build(self) -> SocialGraph {
         let n = self.node_count;
         // Canonicalize (u < v), sort, and deduplicate keeping the minimum
@@ -115,6 +122,7 @@ impl GraphBuilder {
                 false
             }
         });
+        snap_to_grid(&mut canon);
 
         // Count degrees for both directions.
         let mut degrees = vec![0u32; n];
@@ -136,6 +144,33 @@ impl GraphBuilder {
             cursor[v as usize] += 1;
         }
         SocialGraph::from_csr(offsets, edges, canon.len())
+    }
+}
+
+/// The weight grid of a graph whose (deduplicated) edge weights sum to
+/// `total`: `2^-q` with `q = 51 − ⌈log2 total⌉`.  A simple path is no longer
+/// than `total ≤ 2^51` quanta, so sums of up to four such lengths stay
+/// below `2^53` quanta and are exact in `f64`.  `None` for a graph without
+/// edges.
+pub(crate) fn weight_quantum(total: EdgeWeight) -> Option<EdgeWeight> {
+    if !(total > 0.0 && total.is_finite()) {
+        return None;
+    }
+    // Clamped so that both the quantum and 2^53 quanta stay normal numbers.
+    let q = (51 - total.log2().ceil() as i32).clamp(-960, 960);
+    Some(2f64.powi(-q))
+}
+
+/// Rounds every weight to the nearest positive multiple of the edge set's
+/// [`weight_quantum`].
+fn snap_to_grid(edges: &mut [(NodeId, NodeId, EdgeWeight)]) {
+    let total: EdgeWeight = edges.iter().map(|e| e.2).sum();
+    let Some(quantum) = weight_quantum(total) else {
+        return;
+    };
+    for edge in edges {
+        // Scaling by a power of two is exact, so only `round` rounds.
+        edge.2 = (edge.2 / quantum).round().max(1.0) * quantum;
     }
 }
 
@@ -212,5 +247,64 @@ mod tests {
         b.add_edge(0, 1, 1.0).unwrap();
         b.add_edge(1, 2, 1.0).unwrap();
         assert_eq!(b.pending_edges(), 2);
+    }
+
+    fn path_graph(weights: &[EdgeWeight]) -> SocialGraph {
+        GraphBuilder::from_edges(
+            weights.len() + 1,
+            weights
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| (i as NodeId, i as NodeId + 1, w)),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn snapped_weights_are_multiples_of_the_quantum() {
+        let input: Vec<EdgeWeight> = (0..500)
+            .map(|i| [0.1, 1.0 / 3.0, 2.7, 1e-7, 1e-15][i % 5] * (1.0 + i as f64 / 7.0))
+            .collect();
+        let g = path_graph(&input);
+        let quantum = weight_quantum(input.iter().sum()).unwrap();
+        for (i, &w) in input.iter().enumerate() {
+            let snapped = g.edge_weight(i as NodeId, i as NodeId + 1).unwrap();
+            assert_eq!((snapped / quantum).fract(), 0.0, "{snapped} off the grid");
+            assert!(snapped >= quantum, "{w} snapped to zero");
+            assert!((snapped - w).abs() <= quantum, "{w} moved to {snapped}");
+        }
+    }
+
+    #[test]
+    fn path_sums_are_equal_forwards_and_backwards() {
+        let input = [0.1, 0.2, 0.3, 1.0 / 3.0, 0.7, 1e-9, 5.1];
+        let forwards = |ws: &[EdgeWeight]| ws.iter().fold(0.0, |acc, w| acc + w);
+        let backwards = |ws: &[EdgeWeight]| ws.iter().rev().fold(0.0, |acc, w| acc + w);
+        // Unsnapped, the order of addition shows in the last bit.
+        let raw = &input[..3];
+        assert_ne!(forwards(raw).to_bits(), backwards(raw).to_bits());
+        let g = path_graph(&input);
+        let snapped: Vec<EdgeWeight> = g.undirected_edges().map(|(_, _, w)| w).collect();
+        assert_eq!(snapped.len(), input.len());
+        for start in 0..snapped.len() {
+            for end in start + 1..=snapped.len() {
+                let path = &snapped[start..end];
+                assert_eq!(forwards(path).to_bits(), backwards(path).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn min_weight_clamp_survives_snapping() {
+        // 2^-30 is the smallest weight the data generators assign; it lies
+        // on the grid of any graph whose weights sum to at most 2^21.
+        let clamp = 2f64.powi(-30);
+        let mut heavy = vec![1024.0; 1023];
+        heavy.push(clamp);
+        for weights in [vec![clamp; 4], heavy] {
+            let g = path_graph(&weights);
+            let last = weights.len() as NodeId;
+            assert_eq!(g.edge_weight(last - 1, last), Some(clamp));
+        }
     }
 }

@@ -1,3 +1,4 @@
+use crate::scratch::{FORWARD, REVERSE};
 use crate::{Distance, NodeId, SearchScratch, SocialGraph};
 use std::cmp::Ordering;
 
@@ -31,14 +32,26 @@ impl Ord for HeapItem {
     }
 }
 
+/// `d` if it is below `budget`, `f64::INFINITY` otherwise.
+#[inline]
+pub(crate) fn within(d: Distance, budget: Distance) -> Distance {
+    if d < budget {
+        d
+    } else {
+        f64::INFINITY
+    }
+}
+
 /// A resumable Dijkstra expansion from a fixed source vertex.
 ///
 /// The expansion yields settled vertices one at a time in non-decreasing
 /// distance order, which is exactly the "sorted access" on the social
 /// repository that SFA and TSA require (§4).  The AIS graph-distance module
-/// keeps one instance alive for the whole query and resumes it between
-/// point-to-point computations (*forward heap caching*, §5.2) — possible
-/// precisely because Dijkstra keys do not depend on the target vertex.
+/// keeps one instance alive for the whole query and meets it with a short
+/// reverse search from each target ([`IncrementalDijkstra::distance_within`]);
+/// the forward half of every such search is resumed, never restarted
+/// (*forward heap caching*, §5.2) — possible precisely because Dijkstra keys
+/// do not depend on the target vertex.
 ///
 /// The search borrows its dense state from a [`SearchScratch`], so starting
 /// one costs `O(1)` instead of `O(|V|)`: the scratch is reset by epoch bump,
@@ -50,6 +63,7 @@ pub struct IncrementalDijkstra<'s> {
     scratch: &'s mut SearchScratch,
     last_settled: Distance,
     settled_count: usize,
+    reverse_settled_count: usize,
     pops: usize,
     relaxations: usize,
 }
@@ -67,8 +81,8 @@ impl<'s> IncrementalDijkstra<'s> {
             "source vertex {source} out of range"
         );
         scratch.begin(graph.node_count());
-        scratch.set_tentative(source, 0.0, source);
-        scratch.heap.push(HeapItem {
+        scratch.relax(FORWARD, source, 0.0);
+        scratch.heaps[FORWARD].push(HeapItem {
             key: 0.0,
             node: source,
         });
@@ -77,6 +91,7 @@ impl<'s> IncrementalDijkstra<'s> {
             scratch,
             last_settled: 0.0,
             settled_count: 0,
+            reverse_settled_count: 0,
             pops: 0,
             relaxations: 0,
         }
@@ -90,23 +105,46 @@ impl<'s> IncrementalDijkstra<'s> {
     /// Settles and returns the next closest vertex, or `None` when every
     /// reachable vertex has been settled.
     pub fn next_settled(&mut self, graph: &SocialGraph) -> Option<(NodeId, Distance)> {
-        while let Some(HeapItem { key, node }) = self.scratch.heap.pop() {
+        let mut unused_mu = f64::INFINITY;
+        self.step::<FORWARD, false>(graph, &mut unused_mu)
+    }
+
+    /// Settles the next vertex of direction `DIR`.  With `MEET`, every
+    /// relaxation also offers the path through the relaxed edge and the
+    /// other direction's label of its head as a source–target path length
+    /// (`mu`).
+    #[inline]
+    fn step<const DIR: usize, const MEET: bool>(
+        &mut self,
+        graph: &SocialGraph,
+        mu: &mut Distance,
+    ) -> Option<(NodeId, Distance)> {
+        while let Some(HeapItem { key, node }) = self.scratch.heaps[DIR].pop() {
             self.pops += 1;
-            if self.scratch.is_settled(node) {
+            if self.scratch.is_settled(DIR, node) {
                 continue; // stale heap entry (lazy deletion)
             }
-            self.scratch.mark_settled(node);
-            self.settled_count += 1;
-            self.last_settled = key;
+            self.scratch.mark_settled(DIR, node);
+            if DIR == FORWARD {
+                self.settled_count += 1;
+                self.last_settled = key;
+            } else {
+                self.reverse_settled_count += 1;
+            }
             for edge in graph.neighbors(node) {
                 self.relaxations += 1;
                 let cand = key + edge.weight;
-                if cand < self.scratch.tentative(edge.to) {
-                    self.scratch.set_tentative(edge.to, cand, node);
-                    self.scratch.heap.push(HeapItem {
+                if self.scratch.relax(DIR, edge.to, cand) {
+                    self.scratch.heaps[DIR].push(HeapItem {
                         key: cand,
                         node: edge.to,
                     });
+                }
+                if MEET {
+                    let through = cand + self.scratch.tentative(1 - DIR, edge.to);
+                    if through < *mu {
+                        *mu = through;
+                    }
                 }
             }
             return Some((node, key));
@@ -114,11 +152,62 @@ impl<'s> IncrementalDijkstra<'s> {
         None
     }
 
+    /// Exact distance from the source to `target` if it is below `budget`,
+    /// `f64::INFINITY` otherwise (including when `target` is unreachable).
+    ///
+    /// A bidirectional Dijkstra (Goldberg & Harrelson, SODA 2005): a fresh
+    /// reverse search from `target` meets the persistent forward expansion,
+    /// whose progress is kept for later calls.  The side with the smaller
+    /// heap top steps; every relaxation offers the path through the relaxed
+    /// edge and the other side's label as `μ`; the search stops once
+    /// `top_f + top_r ≥ min(μ, budget)`.  A drained heap counts as an
+    /// infinite top, which stops the search: that side's whole component
+    /// has been explored.
+    ///
+    /// The answer is exact bit for bit when the graph's weights lie on the
+    /// grid of [`GraphBuilder::build`](crate::GraphBuilder::build): every
+    /// path sum is then computed without rounding, so `μ` equals what a
+    /// plain Dijkstra returns, whichever order the directions step in.
+    pub fn distance_within(
+        &mut self,
+        graph: &SocialGraph,
+        target: NodeId,
+        budget: Distance,
+    ) -> Distance {
+        if let Some(d) = self.settled_distance(target) {
+            return within(d, budget);
+        }
+        self.scratch.begin_reverse();
+        self.scratch.relax(REVERSE, target, 0.0);
+        self.scratch.heaps[REVERSE].push(HeapItem {
+            key: 0.0,
+            node: target,
+        });
+        let mut mu = self.scratch.tentative(FORWARD, target);
+        loop {
+            let top = |dir: usize| {
+                self.scratch.heaps[dir]
+                    .peek()
+                    .map_or(f64::INFINITY, |e| e.key)
+            };
+            let (top_f, top_r) = (top(FORWARD), top(REVERSE));
+            if top_f + top_r >= mu.min(budget) {
+                break;
+            }
+            if top_f <= top_r {
+                self.step::<FORWARD, true>(graph, &mut mu);
+            } else {
+                self.step::<REVERSE, true>(graph, &mut mu);
+            }
+        }
+        within(mu, budget)
+    }
+
     /// Runs the expansion until `target` is settled and returns its exact
     /// distance (`f64::INFINITY` if unreachable).
     pub fn run_until_settled(&mut self, graph: &SocialGraph, target: NodeId) -> Distance {
-        if self.is_settled(target) {
-            return self.scratch.tentative(target);
+        if let Some(d) = self.settled_distance(target) {
+            return d;
         }
         while let Some((node, d)) = self.next_settled(graph) {
             if node == target {
@@ -131,8 +220,8 @@ impl<'s> IncrementalDijkstra<'s> {
     /// Exact distance of a vertex if it has already been settled.
     #[inline]
     pub fn settled_distance(&self, v: NodeId) -> Option<Distance> {
-        if self.scratch.is_settled(v) {
-            Some(self.scratch.tentative(v))
+        if self.scratch.is_settled(FORWARD, v) {
+            Some(self.scratch.tentative(FORWARD, v))
         } else {
             None
         }
@@ -142,13 +231,13 @@ impl<'s> IncrementalDijkstra<'s> {
     /// not been touched yet.
     #[inline]
     pub fn tentative_distance(&self, v: NodeId) -> Distance {
-        self.scratch.tentative(v)
+        self.scratch.tentative(FORWARD, v)
     }
 
     /// Returns `true` when `v` has been settled (its distance is exact).
     #[inline]
     pub fn is_settled(&self, v: NodeId) -> bool {
-        self.scratch.is_settled(v)
+        self.scratch.is_settled(FORWARD, v)
     }
 
     /// Distance of the most recently settled vertex — a lower bound on the
@@ -162,43 +251,57 @@ impl<'s> IncrementalDijkstra<'s> {
     /// Returns `true` when the expansion has settled every vertex it can
     /// reach.
     pub fn exhausted(&self) -> bool {
-        self.scratch.heap.is_empty()
+        self.scratch.heaps[FORWARD].is_empty()
     }
 
-    /// Number of vertices settled so far.
+    /// Number of vertices settled by the forward expansion so far.
     pub fn settled_count(&self) -> usize {
         self.settled_count
     }
 
-    /// Number of heap pops performed (including stale entries).
+    /// Number of vertices settled by the reverse searches of
+    /// [`IncrementalDijkstra::distance_within`] so far (a vertex settled by
+    /// several of them counts once per search).
+    pub fn reverse_settled_count(&self) -> usize {
+        self.reverse_settled_count
+    }
+
+    /// Number of heap pops performed in both directions (including stale
+    /// entries).
     pub fn pops(&self) -> usize {
         self.pops
     }
 
-    /// Number of edge relaxations attempted so far (one per neighbour edge
-    /// of every settled vertex).  The expansion's run-time is dominated by
-    /// these, which makes the counter a timing-free proxy for search effort.
+    /// Number of edge relaxations attempted so far in both directions (one
+    /// per neighbour edge of every settled vertex).  The expansion's
+    /// run-time is dominated by these, which makes the counter a
+    /// timing-free proxy for search effort.
     pub fn relaxations(&self) -> usize {
         self.relaxations
     }
 
-    /// Parent of `v` in the shortest-path tree (only meaningful for settled
-    /// vertices; the source is its own parent).
-    pub fn parent(&self, v: NodeId) -> NodeId {
-        self.scratch.parent(v)
-    }
-
-    /// Reconstructs the shortest path from the source to `v` (inclusive of
+    /// Reconstructs a shortest path from the source to `v` (inclusive of
     /// both endpoints).  Returns `None` if `v` has not been settled.
-    pub fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        if !self.is_settled(v) {
-            return None;
-        }
+    ///
+    /// No parent pointers are kept: the walk steps back from each vertex to
+    /// a settled neighbour `u` with `d(u) + w(u, v) == d(v)`.  The test is
+    /// exact because path sums on the weight grid of
+    /// [`GraphBuilder::build`](crate::GraphBuilder::build) do not round, and
+    /// such a neighbour always exists because Dijkstra settles every vertex
+    /// closer than `v` before `v`.
+    pub fn path_to(&self, graph: &SocialGraph, v: NodeId) -> Option<Vec<NodeId>> {
+        let mut d = self.settled_distance(v)?;
         let mut path = vec![v];
         let mut cur = v;
         while cur != self.source {
-            cur = self.scratch.parent(cur);
-            path.push(cur);
+            let (prev, dp) = graph.neighbors(cur).find_map(|edge| {
+                self.settled_distance(edge.to)
+                    .filter(|&du| du + edge.weight == d)
+                    .map(|du| (edge.to, du))
+            })?;
+            path.push(prev);
+            cur = prev;
+            d = dp;
         }
         path.reverse();
         Some(path)
@@ -209,13 +312,7 @@ impl<'s> IncrementalDijkstra<'s> {
     pub fn distances(&self, graph: &SocialGraph) -> Vec<Distance> {
         graph
             .nodes()
-            .map(|v| {
-                if self.scratch.is_settled(v) {
-                    self.scratch.tentative(v)
-                } else {
-                    f64::INFINITY
-                }
-            })
+            .map(|v| self.settled_distance(v).unwrap_or(f64::INFINITY))
             .collect()
     }
 }
@@ -357,7 +454,7 @@ mod tests {
         let mut scratch = SearchScratch::new();
         let mut search = IncrementalDijkstra::new(&g, 0, &mut scratch);
         search.run_until_settled(&g, 9);
-        let path = search.path_to(9).unwrap();
+        let path = search.path_to(&g, 9).unwrap();
         assert_eq!(path.first(), Some(&0));
         assert_eq!(path.last(), Some(&9));
         // Path length equals the computed distance.
@@ -366,7 +463,7 @@ mod tests {
             total += g.edge_weight(w[0], w[1]).unwrap();
         }
         assert_eq!(total, 9.0);
-        assert!(search.path_to(11).is_none());
+        assert!(search.path_to(&g, 11).is_none());
     }
 
     #[test]
@@ -432,6 +529,86 @@ mod tests {
                     break;
                 }
             }
+        }
+    }
+
+    /// A connected-ish random graph with non-dyadic input weights spanning
+    /// several orders of magnitude, plus a few isolated vertices.
+    fn random_graph(rng: &mut rand::rngs::StdRng, n: usize) -> SocialGraph {
+        use rand::Rng;
+        let mut b = GraphBuilder::new(n + 3);
+        let weight = |rng: &mut rand::rngs::StdRng| 10f64.powf(rng.gen_range(-4.0..1.0)) / 3.0;
+        for v in 1..n {
+            let u = rng.gen_range(0..v);
+            let w = weight(rng);
+            b.add_edge(u as NodeId, v as NodeId, w).unwrap();
+        }
+        for _ in 0..2 * n {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                let w = weight(rng);
+                b.add_edge(u as NodeId, v as NodeId, w).unwrap();
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn distance_within_is_bit_equal_to_dijkstra_in_any_call_order() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..24 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..150);
+            let g = random_graph(&mut rng, n);
+            let n = g.node_count();
+            let source = rng.gen_range(0..n) as NodeId;
+            let truth = dijkstra_all(&g, source);
+            let calls: Vec<(NodeId, Distance)> = (0..60)
+                .map(|_| {
+                    let target = rng.gen_range(0..n) as NodeId;
+                    let budget = match rng.gen_range(0..4) {
+                        0 => f64::INFINITY,
+                        1 => truth[target as usize], // exactly at the budget
+                        _ => rng.gen_range(0.0..2.0),
+                    };
+                    (target, budget)
+                })
+                .collect();
+            let (mut s1, mut s2) = (SearchScratch::new(), SearchScratch::new());
+            let mut first = IncrementalDijkstra::new(&g, source, &mut s1);
+            let mut second = IncrementalDijkstra::new(&g, source, &mut s2);
+            let in_order = calls.iter().map(|&(t, b)| (t, b, 0));
+            let reversed = calls.iter().rev().map(|&(t, b)| (t, b, 1));
+            for (target, budget, engine) in in_order.chain(reversed) {
+                let search = if engine == 0 { &mut first } else { &mut second };
+                let got = search.distance_within(&g, target, budget);
+                let want = truth[target as usize];
+                let want = if want < budget { want } else { f64::INFINITY };
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "seed {seed}: d({source}, {target}) within {budget}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn path_to_walks_back_along_exact_distances() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let g = random_graph(&mut rng, 120);
+        let mut scratch = SearchScratch::new();
+        let mut search = IncrementalDijkstra::new(&g, 0, &mut scratch);
+        while search.next_settled(&g).is_some() {}
+        for v in 0..120 {
+            let path = search.path_to(&g, v).unwrap();
+            assert_eq!((path[0], path[path.len() - 1]), (0, v));
+            let length = path
+                .windows(2)
+                .map(|e| g.edge_weight(e[0], e[1]).unwrap())
+                .fold(0.0, |acc, w| acc + w);
+            assert_eq!(length, search.settled_distance(v).unwrap());
         }
     }
 

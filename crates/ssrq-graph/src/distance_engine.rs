@@ -1,4 +1,4 @@
-use crate::dijkstra::HeapItem;
+use crate::dijkstra::{within, HeapItem};
 use crate::{Distance, IncrementalDijkstra, LandmarkSet, NodeId, SearchScratch, SocialGraph};
 use std::collections::{BinaryHeap, HashMap};
 
@@ -9,9 +9,10 @@ pub enum SharingMode {
     /// No reuse: every call runs a fresh bidirectional search.  This is the
     /// behaviour of the paper's AIS-BID baseline (§6, Figure 10).
     None,
-    /// Distance caching and forward-heap caching (§5.2): the forward
-    /// Dijkstra expansion from the source is shared across calls and
-    /// previously computed shortest paths are remembered.
+    /// Distance caching and forward-heap caching (§5.2): the forward half
+    /// of every bidirectional search is one Dijkstra expansion from the
+    /// source, shared across calls, and previously computed distances are
+    /// remembered.
     Shared,
 }
 
@@ -24,25 +25,22 @@ pub struct DistanceEngineStats {
     pub cache_hits: usize,
     /// Vertices settled by the (shared or per-call) forward search.
     pub forward_settles: usize,
-    /// Vertices settled by reverse A* searches.
+    /// Vertices settled by the per-call reverse searches.
     pub reverse_settles: usize,
-    /// Edge relaxations attempted across every search the engine ran (the
-    /// shared forward expansion plus all per-call bidirectional searches).
+    /// Edge relaxations attempted across every search the engine ran, in
+    /// both directions.
     pub edge_relaxations: usize,
 }
 
 /// A point-to-point search keyed by hash maps instead of dense vectors, so
 /// that creating one per target stays cheap even on large graphs.  Used for
-/// the reverse (ALT A*) direction and for the un-shared forward direction of
-/// [`SharingMode::None`].
+/// both directions of [`SharingMode::None`]: the forward Dijkstra and the
+/// reverse ALT A*.
 struct HashSearch<'a> {
-    source: NodeId,
     goal_heuristic: Option<(&'a LandmarkSet, NodeId)>,
     dist: HashMap<NodeId, Distance>,
     settled: HashMap<NodeId, Distance>,
-    parent: HashMap<NodeId, NodeId>,
     heap: BinaryHeap<HeapItem>,
-    settles: usize,
     relaxations: usize,
 }
 
@@ -60,13 +58,10 @@ impl<'a> HashSearch<'a> {
         let mut dist = HashMap::new();
         dist.insert(source, 0.0);
         HashSearch {
-            source,
             goal_heuristic,
             dist,
             settled: HashMap::new(),
-            parent: HashMap::new(),
             heap,
-            settles: 0,
             relaxations: 0,
         }
     }
@@ -85,7 +80,6 @@ impl<'a> HashSearch<'a> {
             }
             let g = *self.dist.get(&node).expect("heap entries have distances");
             self.settled.insert(node, g);
-            self.settles += 1;
             for edge in graph.neighbors(node) {
                 self.relaxations += 1;
                 let cand = g + edge.weight;
@@ -96,7 +90,6 @@ impl<'a> HashSearch<'a> {
                     .unwrap_or(true);
                 if better && !self.settled.contains_key(&edge.to) {
                     self.dist.insert(edge.to, cand);
-                    self.parent.insert(edge.to, node);
                     self.heap.push(HeapItem {
                         key: cand + self.heuristic(edge.to),
                         node: edge.to,
@@ -115,26 +108,6 @@ impl<'a> HashSearch<'a> {
     /// Lower bound on the key of any vertex still to be settled.
     fn peek_key(&self) -> Option<Distance> {
         self.heap.peek().map(|e| e.key)
-    }
-
-    fn exhausted(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Path from this search's source to `v` (both inclusive); `None` if `v`
-    /// has not been reached.  Kept for diagnostic use by future callers (the
-    /// shared engine no longer reconstructs reverse paths).
-    #[allow(dead_code)]
-    fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        self.settled.get(&v)?;
-        let mut path = vec![v];
-        let mut cur = v;
-        while cur != self.source {
-            cur = *self.parent.get(&cur)?;
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
     }
 }
 
@@ -156,25 +129,26 @@ fn finite_or_large(x: Distance) -> Distance {
 ///   fresh bidirectional search: a plain Dijkstra from the source and an A*
 ///   expansion from the target guided by the landmark (ALT) heuristic.
 ///   Nothing is reused between calls.
-/// * With [`SharingMode::Shared`] the engine applies the §5.2 optimizations:
-///   **distance caching** (targets already settled by the forward search, or
-///   lying on a previously reported shortest path, are answered without any
-///   traversal) and **forward heap caching** (a single resumable Dijkstra
-///   expansion from the source is paused and resumed across calls).  Because
-///   every SSRQ evaluation shares the same source, resuming the forward
-///   expansion until the target settles reuses *all* previous work, whereas
-///   per-target reverse searches would be discarded; the shared mode
-///   therefore leans entirely on the forward expansion — this is the
-///   forward-heap-caching idea of the paper taken to its limit (the
-///   trade-off is documented in `DESIGN.md`).
+/// * With [`SharingMode::Shared`] the engine applies the §5.2 optimizations.
+///   **Distance caching**: targets already settled by the forward search, or
+///   answered by an earlier call, cost no traversal.  **Forward heap
+///   caching**: every call is a bidirectional Dijkstra
+///   ([`IncrementalDijkstra::distance_within`]) whose forward half is one
+///   resumable expansion from the source, paused and resumed across calls,
+///   while a short reverse search from the target is started per call and
+///   meets it.  The forward ball therefore grows only as far as the meeting
+///   points need, instead of until each target settles.
+///
+/// Both modes return exact distances, bit-identical to a plain Dijkstra on
+/// the grid-snapped weights of [`GraphBuilder::build`](crate::GraphBuilder::build).
 pub struct GraphDistanceEngine<'g, 's> {
     graph: &'g SocialGraph,
     landmarks: &'g LandmarkSet,
     source: NodeId,
     mode: SharingMode,
     forward: IncrementalDijkstra<'s>,
-    /// The `T` table: exact distance from the source for vertices on
-    /// previously computed shortest paths.
+    /// The `T` table: exact distance from the source of every target
+    /// answered so far.
     path_dist: HashMap<NodeId, Distance>,
     stats: DistanceEngineStats,
     /// Relaxations performed by completed per-call [`HashSearch`]es (the
@@ -183,9 +157,9 @@ pub struct GraphDistanceEngine<'g, 's> {
 }
 
 impl<'g, 's> GraphDistanceEngine<'g, 's> {
-    /// Creates an engine rooted at `source`, drawing the forward-search
-    /// state from `scratch` (reset on construction, so the scratch may be
-    /// reused across queries).
+    /// Creates an engine rooted at `source`, drawing the search state from
+    /// `scratch` (reset on construction, so the scratch may be reused across
+    /// queries).
     ///
     /// # Panics
     ///
@@ -238,7 +212,7 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
     }
 
     /// Exact distance of `v` if it is already known without further search
-    /// (settled by the forward expansion, or on a cached shortest path).
+    /// (settled by the forward expansion, or answered by an earlier call).
     pub fn known_distance(&self, v: NodeId) -> Option<Distance> {
         if v == self.source {
             return Some(0.0);
@@ -266,20 +240,7 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
     /// Computes the exact graph distance from the source to `target`
     /// (`f64::INFINITY` when unreachable).
     pub fn distance(&mut self, target: NodeId) -> Distance {
-        self.stats.distance_calls += 1;
-        if target == self.source {
-            return 0.0;
-        }
-        match self.mode {
-            SharingMode::Shared => {
-                if let Some(d) = self.known_distance(target) {
-                    self.stats.cache_hits += 1;
-                    return d;
-                }
-                self.shared_forward(target)
-            }
-            SharingMode::None => self.fresh_bidirectional(target),
-        }
+        self.distance_within(target, f64::INFINITY)
     }
 
     /// Computes the distance to `target`, giving up as soon as the distance
@@ -289,11 +250,10 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
     /// This is the "evaluate or disqualify" primitive the AIS search needs:
     /// a candidate whose social distance reaches the budget can no longer
     /// enter the result, so there is no point computing its exact value.
-    /// In [`SharingMode::Shared`] the check is essentially free — the shared
-    /// forward expansion simply stops growing once its frontier passes the
-    /// budget.  In [`SharingMode::None`] the budget is ignored and the full
-    /// bidirectional search runs (the AIS-BID baseline has no such
-    /// optimization).
+    /// In [`SharingMode::Shared`] the bidirectional search stops once its
+    /// two frontiers together pass the budget.  In [`SharingMode::None`]
+    /// the budget is ignored and the full bidirectional search runs (the
+    /// AIS-BID baseline has no such optimization).
     pub fn distance_within(&mut self, target: NodeId, budget: Distance) -> Distance {
         self.stats.distance_calls += 1;
         if target == self.source {
@@ -303,67 +263,26 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
             SharingMode::Shared => {
                 if let Some(d) = self.known_distance(target) {
                     self.stats.cache_hits += 1;
-                    return if d < budget { d } else { f64::INFINITY };
+                    return within(d, budget);
                 }
+                // Also answers targets provably disconnected from the source
+                // (one of the two reaches a landmark the other cannot)
+                // without a search.
                 if self.landmarks.lower_bound(self.source, target) >= budget {
                     return f64::INFINITY;
                 }
-                let before = self.forward.settled_count();
-                let mut result = f64::INFINITY;
-                while !self.forward.is_settled(target) {
-                    if self.forward.frontier_bound() >= budget {
-                        break;
-                    }
-                    if self.forward.next_settled(self.graph).is_none() {
-                        break;
-                    }
+                let forward_before = self.forward.settled_count();
+                let reverse_before = self.forward.reverse_settled_count();
+                let d = self.forward.distance_within(self.graph, target, budget);
+                self.stats.forward_settles += self.forward.settled_count() - forward_before;
+                self.stats.reverse_settles += self.forward.reverse_settled_count() - reverse_before;
+                if d.is_finite() {
+                    self.path_dist.insert(target, d);
                 }
-                if let Some(d) = self.forward.settled_distance(target) {
-                    if d < budget {
-                        result = d;
-                        self.path_dist.entry(target).or_insert(d);
-                    }
-                }
-                self.stats.forward_settles += self.forward.settled_count() - before;
-                result
+                d
             }
-            SharingMode::None => {
-                let d = self.fresh_bidirectional(target);
-                if d < budget {
-                    d
-                } else {
-                    f64::INFINITY
-                }
-            }
+            SharingMode::None => within(self.fresh_bidirectional(target), budget),
         }
-    }
-
-    /// Resumes the shared forward expansion until `target` settles
-    /// (distance caching + forward heap caching of §5.2).
-    ///
-    /// A target provably disconnected from the source (one of the two
-    /// reaches a landmark the other cannot) is answered immediately, so the
-    /// expansion never drains the whole component just to prove
-    /// unreachability.
-    fn shared_forward(&mut self, target: NodeId) -> Distance {
-        if self
-            .landmarks
-            .lower_bound(self.source, target)
-            .is_infinite()
-        {
-            return f64::INFINITY;
-        }
-        let before = self.forward.settled_count();
-        let d = self.forward.run_until_settled(self.graph, target);
-        self.stats.forward_settles += self.forward.settled_count() - before;
-        // Remember the vertices on the discovered shortest path (the `T`
-        // table); they are settled, so their distances are already served by
-        // the forward cache, but keeping the entry makes `known_distance`
-        // cheap even after the engine is cloned or paths are queried.
-        if d.is_finite() {
-            self.path_dist.entry(target).or_insert(d);
-        }
-        d
     }
 
     /// Fresh, non-shared bidirectional search (forward Dijkstra + reverse
@@ -373,25 +292,10 @@ impl<'g, 's> GraphDistanceEngine<'g, 's> {
         let mut reverse = HashSearch::new(target, Some((self.landmarks, self.source)));
         let mut min_dist = f64::INFINITY;
 
-        loop {
-            let fwd_key = forward.peek_key();
-            let rev_key = reverse.peek_key();
-            if let (None, None) = (fwd_key, rev_key) {
-                break;
-            }
+        // A drained side has explored its whole component: stop.
+        while let (Some(fwd_key), Some(rev_key)) = (forward.peek_key(), reverse.peek_key()) {
             // Termination: no remaining meeting can beat min_dist.
-            if let Some(rk) = rev_key {
-                if min_dist <= rk + 1e-12 {
-                    break;
-                }
-            } else if forward.exhausted() {
-                break;
-            }
-            if let Some(fk) = fwd_key {
-                if min_dist <= fk + 1e-12 {
-                    break;
-                }
-            } else if reverse.exhausted() {
+            if min_dist <= fwd_key || min_dist <= rev_key {
                 break;
             }
 

@@ -512,7 +512,7 @@ pub fn encode_stats(w: &mut Writer, stats: &QueryStats) {
     w.u64(stats.evaluated_users as u64);
     w.u64(stats.distance_calls as u64);
     w.u64(stats.cache_hits as u64);
-    w.u64(stats.delayed_reinsertions as u64);
+    w.u64(stats.delayed_prunes as u64);
     w.u64(stats.relaxed_edges as u64);
     w.u64(stats.streamable_results as u64);
     w.u64(stats.bytes_sent as u64);
@@ -537,7 +537,7 @@ pub fn decode_stats(r: &mut Reader<'_>) -> Result<QueryStats, WireError> {
         evaluated_users: r.usize()?,
         distance_calls: r.usize()?,
         cache_hits: r.usize()?,
-        delayed_reinsertions: r.usize()?,
+        delayed_prunes: r.usize()?,
         relaxed_edges: r.usize()?,
         streamable_results: r.usize()?,
         bytes_sent: r.usize()?,

@@ -89,7 +89,7 @@ fn stats(rng: &mut StdRng) -> QueryStats {
         evaluated_users: counter(rng),
         distance_calls: counter(rng),
         cache_hits: counter(rng),
-        delayed_reinsertions: counter(rng),
+        delayed_prunes: counter(rng),
         relaxed_edges: counter(rng),
         streamable_results: counter(rng),
         bytes_sent: counter(rng),

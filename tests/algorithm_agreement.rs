@@ -269,3 +269,40 @@ fn stats_show_ais_settles_fewer_vertices_than_single_domain_baselines() {
         "AIS settled {ais_pops} vs SPA {spa_pops}"
     );
 }
+
+#[test]
+fn index_free_exact_methods_return_bit_identical_rankings() {
+    // A request on which AIS-BID's meeting-point sum used to land one ulp
+    // below the other methods' `social` value.  Edge weights on the
+    // builder's dyadic grid make every path sum exact, so every method
+    // without a CH or social-cache index must return the oracle's bits.
+    let dataset = DatasetConfig::gowalla_like(300).generate();
+    let engine = GeoSocialEngine::builder(dataset).build().unwrap();
+    let base = QueryRequest::for_user(209)
+        .k(5)
+        .alpha(0.4)
+        .max_score(0.6)
+        .build()
+        .unwrap();
+    let oracle = engine
+        .run(&base.clone().with_algorithm(Algorithm::Exhaustive))
+        .unwrap();
+    assert!(!oracle.ranked.is_empty());
+    for algorithm in [
+        Algorithm::Sfa,
+        Algorithm::Spa,
+        Algorithm::Tsa,
+        Algorithm::TsaQc,
+        Algorithm::AisBid,
+        Algorithm::AisMinus,
+        Algorithm::Ais,
+    ] {
+        let result = engine.run(&base.clone().with_algorithm(algorithm)).unwrap();
+        assert_eq!(
+            result.ranked,
+            oracle.ranked,
+            "{} differs from EXH",
+            algorithm.name()
+        );
+    }
+}
